@@ -21,6 +21,14 @@ namespace {
 using ftoa::ObjectKind;
 using ftoa::StreamArrival;
 
+/// The sharded replay always runs this many grid shards on this many actor
+/// threads (plus the caller), whatever the workload serves with, so the
+/// routing, handoff and reconciliation layers are measured on every
+/// workload. Its pairs are compared with serve's only when serve runs the
+/// same shard count.
+constexpr int kReplayShards = 4;
+constexpr int kReplayShardThreads = 3;
+
 double Ms(int64_t ns) { return static_cast<double>(ns) * 1e-6; }
 
 double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
@@ -186,14 +194,16 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
 
   ReplayResult out;
   int64_t gen_ns = 0, fit_ns = 0, predict_ns = 0, cold_ns = 0,
-          warm_first_ns = 0, warm_ns = 0, instance_ns = 0, core_finish_ns = 0,
-          sim_feed_ns = 0, sim_finish_ns = 0, reconcile_ns = 0;
+          warm_first_ns = 0, warm_ns = 0, instance_ns = 0, core_feed_ns = 0,
+          core_finish_ns = 0, sim_feed_ns = 0, sim_finish_ns = 0,
+          reconcile_ns = 0;
   int64_t components = 0, components_reused = 0, ignored = 0,
           augment_searches = 0, core_pairs = 0, decisions = 0,
-          boundary_objects = 0, reconciled = 0, sim_pairs = 0;
+          boundary_objects = 0, reconciled = 0;
   std::vector<int64_t> decide_ns, route_ns;
-  std::vector<double> shard_busy(static_cast<size_t>(workload.num_shards),
-                                 0.0);
+  std::vector<double> shard_busy(static_cast<size_t>(kReplayShards), 0.0);
+  // The algorithm's own session's queries: what serve's sessions ask of
+  // the retrieval layer (the reconciler's show in sim.reconcile_ms).
   ftoa::RetrievalStats retrieval;
   std::vector<DayCounts> realized;
   std::vector<int64_t> carry;  // Unmatched members of the last universe.
@@ -396,10 +406,12 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
         std::unique_ptr<ftoa::AssignmentSession> session =
             algorithm->StartSession(instance);
         session->set_collect_dispatches(false);
+        t0 = NowNanos();
         spans->Begin("core.decide");
         const size_t before = decide_ns.size();
         Feed(session.get(), universe, local, rel_start, &decide_ns);
         spans->End();
+        core_feed_ns += NowNanos() - t0;
         decisions += static_cast<int64_t>(decide_ns.size() - before);
         t0 = NowNanos();
         spans->Begin("core.finish");
@@ -409,12 +421,13 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
         ignored += result.trace.ignored_workers + result.trace.ignored_tasks;
         augment_searches += result.trace.matcher_augment_searches;
         core_pairs += static_cast<int64_t>(result.assignment.size());
+        retrieval.Absorb(result.trace.retrieval);
         if (workload.num_shards == 1 && !same_as_serve(result.assignment)) {
           ++out.mismatched_windows;
         }
       }
 
-      // Sim layer: the sharded dispatcher as serve drives it, with
+      // Sim layer: the sharded dispatcher on kReplayShards shards, with
       // boundary reconciliation taken out of Finish and called on its own.
       {
         ScopedSpan sim_span(spans, "sim.session");
@@ -422,8 +435,8 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
             std::unique_ptr<ftoa::OnlineAlgorithm> algorithm,
             ftoa::CreateAlgorithm(workload.algorithm, deps));
         ftoa::ShardedOptions options;
-        options.num_shards = workload.num_shards;
-        options.num_threads = workload.shard_threads;
+        options.num_shards = kReplayShards;
+        options.num_threads = kReplayShardThreads;
         options.reconcile = false;
         ftoa::ShardedDispatcher dispatcher(algorithm.get(), options);
         std::unique_ptr<ftoa::ShardedSession> session =
@@ -453,13 +466,13 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
         reconcile_ns += NowNanos() - t0;
         boundary_objects += stats.boundary_workers + stats.boundary_tasks;
         reconciled += stats.recovered_pairs;
-        sim_pairs += static_cast<int64_t>(result.assignment.size());
-        retrieval.Absorb(result.trace.retrieval);
-        retrieval.Absorb(stats.retrieval);
         for (size_t s = 0; s < result.shard_metrics.size(); ++s) {
           shard_busy[s] += result.shard_metrics[s].busy_seconds;
         }
-        if (!same_as_serve(result.assignment)) ++out.mismatched_windows;
+        if (workload.num_shards == kReplayShards &&
+            !same_as_serve(result.assignment)) {
+          ++out.mismatched_windows;
+        }
       }
 
       // Next universe: what serve left unmatched.
@@ -479,10 +492,16 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
   }
 
   const double days = static_cast<double>(in.days);
-  // Serve reconciles only when the workload asks for it.
-  double served_ns = static_cast<double>(
-      gen_ns + instance_ns + sim_feed_ns + sim_finish_ns +
-      (workload.reconcile ? reconcile_ns : 0));
+  // Serve's session is the sharded replay's when the shard counts match
+  // (reconciling only when the workload asks for it), else the algorithm's
+  // own session.
+  double served_ns = static_cast<double>(gen_ns + instance_ns);
+  if (workload.num_shards == kReplayShards) {
+    served_ns += static_cast<double>(sim_feed_ns + sim_finish_ns +
+                                     (workload.reconcile ? reconcile_ns : 0));
+  } else {
+    served_ns += static_cast<double>(core_feed_ns + core_finish_ns);
+  }
   if (predictor_serves) {
     // Serve refits once a day and predicts at every refresh; the first
     // warm refresh of a day reuses yesterday's components, the rest an
@@ -530,7 +549,7 @@ ftoa::Result<ReplayResult> ReplayLayers(const ReplayInputs& in,
        Ratio(static_cast<double>(retrieval.candidates_examined), queries),
        "ratio"},
       {"retrieval.pairs_per_query",
-       Ratio(static_cast<double>(sim_pairs), queries), "ratio"},
+       Ratio(static_cast<double>(core_pairs), queries), "ratio"},
       {"sim.route_p50_ns", PercentileNs(&route_ns, 50.0), "ns"},
       {"sim.finish_ms", Ms(sim_finish_ns) / days, "ms"},
       {"sim.shard_busy_skew",

@@ -49,7 +49,8 @@ struct ReplayResult {
   /// Sum over days of the guide's matched pairs.
   int64_t guide_pairs_total = 0;
   /// Windows whose replayed session committed other pairs than serve did
-  /// (the sharded replay always; the algorithm's own session on one shard).
+  /// (the algorithm's own session on one shard, the sharded replay when
+  /// serve runs its shard count).
   int64_t mismatched_windows = 0;
   int64_t windows = 0;
   /// Days on which the warm guide of an unchanged prediction differed

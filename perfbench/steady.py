@@ -13,8 +13,8 @@ again and checks that it prints the same pair digest. For every end-to-end
 metric it prints the median, the quartiles (statistics.quantiles, n=4) and
 their distance as a share of the median, next to the metric's bound; and
 for every workload the share of failed operations of each run, which must
-be the same in every run. Exits 1 when a spread other than setup_s exceeds
-its bound, a failure share differs, a digest differs or a run fails.
+be the same in every run. Exits 1 when a spread exceeds its bound, a
+failure share differs, a digest differs or a run fails.
 """
 
 import argparse
@@ -96,8 +96,7 @@ def main():
             spread = (q3 - q1) / median if median else float("inf")
             bound = metric["bound"]
             within = spread <= bound
-            if metric["name"] != "setup_s":
-                ok = ok and within
+            ok = ok and within
             print("%-18s %-15s %12.6g %12.6g %12.6g %7.2f%% %5.0f%% %s"
                   % (workload, metric["name"], q1, median, q3, 100 * spread,
                      100 * bound,
