@@ -8,10 +8,10 @@
 //       full re-solve — the headline is the real_time ratio (>= 2x is the
 //       PR's acceptance bar).
 //   BM_Rotation/{rebuild,incremental}/W — per-window serving cost as the
-//       object store grows (eviction off, 1-window segments = 6 rotations
-//       per day). Rebuild re-scans and re-sorts the store at every rotation
-//       (O(store)); incremental maintains the sorted spine (O(carryover +
-//       new)), so its cost stays flat as W (and the store) grows.
+//       object store grows (eviction off, 6 windows per day). Rebuild
+//       re-scans and re-sorts the store at every window (O(store));
+//       incremental maintains the sorted spine (O(carryover + new)), so
+//       its cost stays flat as W (and the store) grows.
 //   BM_Interference/{dedicated,shared_slice} — the soak topology (sharded
 //       threaded sessions + background refresh) with the PR 6 dedicated
 //       refresher thread vs the shared pool + analytical PoolSlice layout.
@@ -163,7 +163,7 @@ void BM_GuideRefresh(benchmark::State& state, GuideRefreshMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// Family 2: incremental vs rebuild segment rotation as the store grows.
+// Family 2: incremental vs rebuild rotation as the store grows.
 // ---------------------------------------------------------------------------
 
 CityProfile RotationCity() {
@@ -186,7 +186,6 @@ void BM_Rotation(benchmark::State& state, bool incremental) {
   const int64_t windows = state.range(0);
   ServiceOptions options;
   options.algorithm = "simple-greedy";  // Cheap decisions: rotation shows.
-  options.windows_per_segment = 1;      // Six rotations per day.
   options.evict_expired = false;        // The store keeps the history.
   options.incremental_rotation = incremental;
   int64_t processed = 0;
@@ -203,7 +202,6 @@ void BM_Rotation(benchmark::State& state, bool incremental) {
   state.SetItemsProcessed(processed);
   state.counters["matched"] = static_cast<double>(last.matched);
   state.counters["store"] = static_cast<double>(last_store);
-  state.counters["segments"] = static_cast<double>(last.segments);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 // Serving-loop benchmark: windows-per-second and per-window cost of the
 // ServiceHarness across its robustness features — eviction on/off (the
-// memory/throughput tradeoff of the rolling store), segment length (session
-// rebuild amortization), sharding, inline vs background guide refresh, and
-// a faulted run (flash crowd + slow shard + forced refresh failures) versus
-// the clean baseline. Counters expose the service-side outcomes: matched
+// memory/throughput tradeoff of the rolling store), sharding, inline vs
+// background guide refresh, and a faulted run (flash crowd + slow shard +
+// forced refresh failures) versus the clean baseline. Counters expose the service-side outcomes: matched
 // pairs, evictions, shed load, and the final store size (the memory story —
 // with eviction off the store holds the whole admitted history).
 
@@ -70,10 +69,9 @@ void RunService(benchmark::State& state, const ServiceOptions& options,
   state.counters["evicted"] = static_cast<double>(last.evictions);
   state.counters["shed"] = static_cast<double>(last.shed);
   state.counters["store"] = static_cast<double>(last_store);
-  state.counters["swaps"] = static_cast<double>(last.guide_swaps);
 }
 
-/// The serving default: evicting store, one-day segments, inline refresh.
+/// The serving default: evicting store, daily inline refresh.
 void BM_ServeBaseline(benchmark::State& state) {
   ServiceOptions options;
   RunService(state, options, state.range(0));
@@ -84,14 +82,6 @@ void BM_ServeBaseline(benchmark::State& state) {
 void BM_ServeNoEvict(benchmark::State& state) {
   ServiceOptions options;
   options.evict_expired = false;
-  RunService(state, options, state.range(0));
-}
-
-/// Segment-length sweep: shorter segments rotate (and rebuild) sessions
-/// more often but bound carryover replay; range(1) is windows_per_segment.
-void BM_ServeSegment(benchmark::State& state) {
-  ServiceOptions options;
-  options.windows_per_segment = static_cast<int>(state.range(1));
   RunService(state, options, state.range(0));
 }
 
@@ -124,12 +114,6 @@ void BM_ServeFaulted(benchmark::State& state) {
 
 BENCHMARK(BM_ServeBaseline)->Arg(12)->Arg(24)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeNoEvict)->Arg(24)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ServeSegment)
-    ->Args({24, 1})
-    ->Args({24, 2})
-    ->Args({24, 3})
-    ->Args({24, 6})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeSharded)
     ->Args({24, 1})
     ->Args({24, 3})

@@ -641,19 +641,8 @@ Result<OfflineGuide> GuideGenerator::GenerateCompressed(
   const int32_t chunks = std::max<int32_t>(
       1, std::min<int32_t>(options_.num_threads, num_components));
   if (chunks <= 1) {
-    // One chunk means across-component parallelism is useless — either one
-    // thread, or one giant component serializing the solve (the PR 2
-    // limitation). Lend the pool to the solver itself so it can shard its
-    // *intra-component* scans (admissible-BFS frontiers, refine saturation
-    // sweeps — both thread-count invariant, so the guide stays
-    // bit-identical). Safe against pool deadlock only because this branch
-    // runs solve_components on the calling thread, never on a pool worker.
-    const bool lend_pool = options_.num_threads > 1 && minimize_cost;
-    if (lend_pool) {
-      ShardAt(0).mincost.SetParallelism(&Pool(), options_.num_threads);
-    }
+    // One thread, or one component: solve inline on the calling thread.
     solve_components(0, num_components, &ShardAt(0));
-    if (lend_pool) ShardAt(0).mincost.SetParallelism(nullptr, 1);
   } else {
     const int64_t total_pairs = static_cast<int64_t>(pairs.size());
     std::vector<int32_t> bounds(static_cast<size_t>(chunks) + 1, 0);

@@ -190,25 +190,6 @@ class HybridPolarOpSession final : public AssignmentSessionBase {
     }
   }
 
-  bool SwapGuide(std::shared_ptr<const OfflineGuide> guide) override {
-    if (guide == nullptr || guide->spacetime().num_types() !=
-                                guide_->spacetime().num_types()) {
-      return false;
-    }
-    guide_ = std::move(guide);
-    // Node queues and cursors follow the guide and restart empty. The
-    // greedy-fallback waiting pools are guide-independent (keyed by object
-    // id and initial location), so objects dropped from a node queue stay
-    // reachable through the fallback path.
-    waiting_at_worker_node_.assign(
-        static_cast<size_t>(guide_->num_worker_nodes()), WaitQueue{});
-    waiting_at_task_node_.assign(
-        static_cast<size_t>(guide_->num_task_nodes()), WaitQueue{});
-    std::fill(worker_type_cursor_.begin(), worker_type_cursor_.end(), 0u);
-    std::fill(task_type_cursor_.begin(), task_type_cursor_.end(), 0u);
-    return true;
-  }
-
  private:
   std::shared_ptr<const OfflineGuide> guide_;
   PolarOptions options_;

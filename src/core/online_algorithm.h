@@ -110,22 +110,6 @@ class AssignmentSession {
   /// per-arrival algorithms ignore it.
   virtual void AdvanceTo(double time) { (void)time; }
 
-  /// Adopts a freshly generated guide mid-stream (the serving harness's
-  /// hot refresh). Only meaningful at an AdvanceTo boundary: call between
-  /// arrivals, never concurrently with OnWorker/OnTask.
-  ///
-  /// Semantics for guided sessions: pairs already committed stay; all
-  /// guide-*dependent* state (node occupancy, wait queues, per-type
-  /// cursors) is rebuilt empty against the new guide, so decisions from
-  /// here on are exactly those of a fresh session fed the remaining
-  /// stream. Returns false — leaving the session untouched — when the
-  /// session does not follow a guide (the baselines' default) or the new
-  /// guide's spacetime discretization is incompatible with the session's.
-  virtual bool SwapGuide(std::shared_ptr<const OfflineGuide> guide) {
-    (void)guide;
-    return false;
-  }
-
   /// Ends the arrival stream logically: all deferred work (remaining batch
   /// windows, pending pools) is carried out now.
   virtual void Flush() {}

@@ -99,23 +99,6 @@ class PolarSession final : public AssignmentSessionBase {
     // A waiting task issues no dispatch: its location is fixed.
   }
 
-  bool SwapGuide(std::shared_ptr<const OfflineGuide> guide) override {
-    if (guide == nullptr || guide->spacetime().num_types() !=
-                                guide_->spacetime().num_types()) {
-      return false;
-    }
-    guide_ = std::move(guide);
-    // Occupancy and cursors are sized from (and index into) the guide:
-    // rebuild them empty against the new one. Committed pairs stay.
-    worker_node_occupant_.assign(
-        static_cast<size_t>(guide_->num_worker_nodes()), -1);
-    task_node_occupant_.assign(
-        static_cast<size_t>(guide_->num_task_nodes()), -1);
-    std::fill(worker_type_cursor_.begin(), worker_type_cursor_.end(), 0);
-    std::fill(task_type_cursor_.begin(), task_type_cursor_.end(), 0);
-    return true;
-  }
-
  private:
   std::shared_ptr<const OfflineGuide> guide_;
   PolarOptions options_;

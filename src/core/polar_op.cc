@@ -124,24 +124,6 @@ class PolarOpSession final : public AssignmentSessionBase {
     }
   }
 
-  bool SwapGuide(std::shared_ptr<const OfflineGuide> guide) override {
-    if (guide == nullptr || guide->spacetime().num_types() !=
-                                guide_->spacetime().num_types()) {
-      return false;
-    }
-    guide_ = std::move(guide);
-    // Wait queues hang off guide nodes; with the node set replaced, the
-    // still-waiting objects are released (they re-enter only if the caller
-    // replays them, as the serving harness's carryover does).
-    waiting_at_worker_node_.assign(
-        static_cast<size_t>(guide_->num_worker_nodes()), WaitQueue{});
-    waiting_at_task_node_.assign(
-        static_cast<size_t>(guide_->num_task_nodes()), WaitQueue{});
-    std::fill(worker_type_cursor_.begin(), worker_type_cursor_.end(), 0u);
-    std::fill(task_type_cursor_.begin(), task_type_cursor_.end(), 0u);
-    return true;
-  }
-
  private:
   std::shared_ptr<const OfflineGuide> guide_;
   PolarOptions options_;

@@ -77,15 +77,6 @@
 // calls, a resumed call's Outcome counts only its own contribution; use
 // `TotalRoutedCost()` for whole-network cost claims.
 //
-// Intra-solve parallelism: `SetParallelism` lends the solver a thread pool
-// for the read-only scan halves of its phases — the blocking engine's
-// admissible-BFS frontier expansion and the cost-scaling refine's
-// saturation detection. Both shard a scan across threads and merge through
-// an order-insensitive reduction (set-once level writes; integer sums), so
-// the solved flow is bit-identical at any thread count. The pool must not
-// be one whose workers are currently executing this Solve (tasks block on
-// futures; see core/guide_generator for the safe wiring).
-//
 // `SolveSpfa` preserves the original SPFA implementation verbatim as a
 // test oracle and as the baseline leg of bench_micro_flow.
 
@@ -99,8 +90,6 @@
 #include "flow/flow_engine.h"
 
 namespace ftoa {
-
-class ThreadPool;
 
 /// A directed network with capacities and per-unit costs. Not thread-safe:
 /// the scratch arenas are owned by the object.
@@ -148,14 +137,6 @@ class MinCostFlowGraph {
   /// network: node/edge counts, residual supply out of `s`, and the
   /// original-capacity profile (unit-capacity edge share).
   FlowInstanceShape ComputeShape(int32_t s) const;
-
-  /// Lends a pool for the intra-solve parallel scans (see file comment).
-  /// `num_threads` caps the shards per scan; `min_parallel_items` is the
-  /// scan size below which the serial path runs regardless (tests lower it
-  /// to force the parallel path on small graphs). Pass pool == nullptr to
-  /// return to fully serial solving.
-  void SetParallelism(ThreadPool* pool, int num_threads,
-                      int64_t min_parallel_items = 4096);
 
   /// Warm start: moves `amount` units of capacity from forward edge `e` to
   /// its reverse, declaring that flow as already routed. The caller asserts
@@ -216,7 +197,7 @@ class MinCostFlowGraph {
   bool DijkstraSettle(int32_t s, int32_t t);
   /// BFS levels from s over usable arcs (cap > 0, plus rc == 0 when
   /// `admissible` — the post-update shortest-path subgraph); true when t
-  /// was levelled. Parallelizes frontier expansion when a pool is lent.
+  /// was levelled.
   bool BuildLevels(int32_t s, int32_t t, bool admissible);
   /// One blocking flow over the level graph (iterative DFS with per-node
   /// arc cursors); returns the flow pushed.
@@ -227,8 +208,8 @@ class MinCostFlowGraph {
   /// Dinic max flow on capacities only (costs ignored); flow added.
   int64_t MaxFlowDinic(int32_t s, int32_t t);
   /// One eps-scaling round: saturate every negative-reduced-cost residual
-  /// arc (parallel detection when a pool is lent), then FIFO push-relabel
-  /// discharge until all excesses return to zero.
+  /// arc, then FIFO push-relabel discharge until all excesses return to
+  /// zero.
   void Refine(int64_t eps, int64_t scale);
 
   // Graph arenas (edge e's residual partner is e ^ 1).
@@ -266,16 +247,6 @@ class MinCostFlowGraph {
   std::vector<int64_t> price_;
   std::vector<int64_t> excess_;
   std::vector<int32_t> saturate_;  // Arc ids detected by the refine scan.
-  // Per-shard result buffers for the parallel scans. Shards are contiguous
-  // in-order partitions, so concatenating the buffers in shard order
-  // reproduces the serial scan order exactly (the determinism argument).
-  std::vector<std::vector<int32_t>> shard_buffers_;
-
-  // Lent parallelism (never owned); see SetParallelism.
-  ThreadPool* pool_ = nullptr;
-  int pool_threads_ = 1;
-  int64_t min_parallel_items_ = 4096;
-
   bool needs_repair_ = false;
   int64_t path_searches_ = 0;
   int64_t blocking_phases_ = 0;

@@ -25,7 +25,7 @@ namespace ftoa {
 
 /// One arrival of the unbounded stream. Unlike ArrivalEvent — an index
 /// into a fixed Instance universe — a StreamArrival is self-contained:
-/// the harness builds its own per-segment universes from these.
+/// the harness builds its own per-window universes from these.
 struct StreamArrival {
   ObjectKind kind = ObjectKind::kWorker;
   double time = 0.0;      ///< Absolute stream time (day * day_horizon + Sw/Sr).

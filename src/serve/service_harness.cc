@@ -35,6 +35,7 @@ ServiceHarness::ServiceHarness(LoopedTraceSource source,
       options_(std::move(options)),
       faults_(std::move(faults)) {
   spd_ = source_.generator().profile().slots_per_day;
+  needs_guide_ = AlgorithmNeedsGuide(options_.algorithm);
   if (options_.analytical_slice > 0) {
     // Analytical isolation: one pool shared by the shard actors and the
     // refresher's bounded slice. Sized like the dispatcher would size its
@@ -79,10 +80,6 @@ Result<std::unique_ptr<ServiceHarness>> ServiceHarness::Create(
   }
   resolved.analytical_slice = std::max(0, resolved.analytical_slice);
 
-  resolved.windows_per_segment =
-      resolved.windows_per_segment <= 0
-          ? profile.slots_per_day
-          : std::min(resolved.windows_per_segment, profile.slots_per_day);
   resolved.refresh_period_windows = resolved.refresh_period_windows <= 0
                                         ? profile.slots_per_day
                                         : resolved.refresh_period_windows;
@@ -120,6 +117,7 @@ Status ServiceHarness::StartDay(int64_t day) {
 }
 
 Status ServiceHarness::RefitPredictors(int64_t day) {
+  if (!needs_guide_) return Status::OK();  // Nothing reads the prediction.
   // Rolling evaluation, exactly like a deployed platform: the dataset is
   // the generator's offline history followed by every completed stream day
   // (day_of_week continues the history's weekday sequence; weather repeats
@@ -189,7 +187,6 @@ Status ServiceHarness::RefitPredictors(int64_t day) {
 }
 
 void ServiceHarness::ExpireUpTo(double time, WindowMetrics* metrics) {
-  expired_up_to_ = time;
   while (!deadline_heap_.empty() && deadline_heap_.top().first <= time) {
     const int64_t stream_id = deadline_heap_.top().second;
     deadline_heap_.pop();
@@ -203,16 +200,9 @@ void ServiceHarness::ExpireUpTo(double time, WindowMetrics* metrics) {
       // is never live (its deadline has passed).
       if (it->second.Deadline() > time) ++totals_.evicted_live;
     }
-    // The open segment's universe still references the record (an object
-    // expiring mid-segment can legitimately match during the replay — it
-    // was live at its arrival); free it at rotation instead.
-    if (options_.evict_expired) {
-      if (segment_.open) {
-        deferred_free_.push_back(stream_id);
-      } else {
-        store_.erase(it);
-      }
-    }
+    // No member of the coming window's universe has expired (the carryover
+    // filter drops the same deadlines), so the record goes at once.
+    if (options_.evict_expired) store_.erase(it);
   }
 }
 
@@ -266,14 +256,14 @@ PredictionMatrix ServiceHarness::PredictionFor(int64_t window) const {
 }
 
 Status ServiceHarness::HandleRefresh(int64_t window) {
+  // A guide-free algorithm never reads the slot: solving it is pure waste.
+  if (!needs_guide_) return Status::OK();
   const bool due = (window % options_.refresh_period_windows) == 0;
   if (options_.background_refresh) {
-    const GuideRefresher::PollResult poll = refresher_->Poll();
-    if (poll == GuideRefresher::PollResult::kPublished) {
+    // Harvested before the window's session starts, so the window already
+    // serves with the published guide.
+    if (refresher_->Poll() == GuideRefresher::PollResult::kPublished) {
       pending_refresh_report_ = refresher_->last_cycle();
-      if (segment_.open) {
-        segment_.swaps.emplace_back(window, slot_.Get().guide);
-      }
     }
     if (due && !refresher_->busy()) {
       refresher_->StartBackground(PredictionFor(window), window, &slot_);
@@ -285,59 +275,50 @@ Status ServiceHarness::HandleRefresh(int64_t window) {
       refresher_->RefreshNow(PredictionFor(window), window, &slot_);
   // A failed cycle is the degradation ladder's input, not the harness's
   // failure: the stale slot (or greedy) carries the stream.
-  if (refreshed.ok()) {
-    pending_refresh_report_ = refresher_->last_cycle();
-    if (segment_.open) {
-      segment_.swaps.emplace_back(window, refreshed.value().guide);
-    }
-  }
+  if (refreshed.ok()) pending_refresh_report_ = refresher_->last_cycle();
   return Status::OK();
 }
 
-void ServiceHarness::StartSegment(int64_t window) {
-  segment_ = Segment{};
-  segment_.open = true;
-  segment_.begin = window;
-  segment_.day = window / spd_;
-  segment_.end = std::min(window + options_.windows_per_segment,
-                          (segment_.day + 1) * spd_);
-  segment_.admitted.resize(static_cast<size_t>(segment_.end - window));
-  segment_.start_guide = slot_.Get();
+ServiceHarness::WindowSession ServiceHarness::StartWindow(int64_t window) {
+  WindowSession session;
+  session.window = window;
+  session.day = window / spd_;
+  session.guide = slot_.Get();
 
-  const bool needs_guide = AlgorithmNeedsGuide(options_.algorithm);
-  const bool no_guide = segment_.start_guide.guide == nullptr;
+  const bool no_guide = session.guide.guide == nullptr;
   const bool too_stale =
       options_.max_guide_age_windows > 0 && !no_guide &&
-      window - segment_.start_guide.published_window >
+      window - session.guide.published_window >
           options_.max_guide_age_windows;
-  segment_.degraded = needs_guide && (no_guide || too_stale);
+  session.degraded = needs_guide_ && (no_guide || too_stale);
 
   if (options_.incremental_rotation) {
     // Incremental mode: the carryover lives in the persistent spine;
     // compact it in place instead of rescanning the store.
-    CompactSpine(window, segment_.day);
-    return;
+    CompactSpine(window, session.day);
+    return session;
   }
 
   // Rebuild reference: every still-live unmatched object from earlier
-  // segments, re-offered in stream-id order (deterministic regardless of
+  // windows, re-offered in stream-id order (deterministic regardless of
   // the store's hash order or eviction mode).
   const double now = static_cast<double>(window);
   // ftoa-lint: ok(no-unordered-iteration): hash order never escapes — the collected ids are sorted below before any consumer sees them
   for (const auto& entry : store_) {
     if (!entry.second.matched && entry.second.Deadline() > now) {
-      segment_.carryover.push_back(entry.first);
+      session.carryover.push_back(entry.first);
     }
   }
-  std::sort(segment_.carryover.begin(), segment_.carryover.end());
+  std::sort(session.carryover.begin(), session.carryover.end());
+  return session;
 }
 
 void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
   // Equivalence with the rebuild reference (pinned by the rotation tests):
-  // the spine holds exactly the previous segment's universe members whose
-  // records survived unmatched (ReplaySegment's rebuild step), and every
-  // live unmatched record is in some previous segment's universe (admitted
-  // objects enter a segment; unmatched survivors chain through carryover).
+  // the spine holds exactly the previous window's universe members whose
+  // records survived unmatched (ReplayWindow's rebuild step), and every
+  // live unmatched record is in some previous window's universe (admitted
+  // objects enter a window; unmatched survivors chain through carryover).
   // Dropping matched/freed/expired entries here therefore leaves the same
   // object set the store scan + deadline filter would produce — in
   // O(carryover), never O(store).
@@ -355,7 +336,7 @@ void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
     if (retime) {
       // Recomputed from the record's absolute times — idempotent, so
       // surviving several day boundaries gives the same values the
-      // rebuild path derives fresh each segment.
+      // rebuild path derives fresh each window.
       double rel_start = it->second.abs_start - day_start;
       double duration = it->second.duration;
       if (rel_start < 0.0) {
@@ -383,7 +364,8 @@ void ServiceHarness::CompactSpine(int64_t window, int64_t day) {
   }
 }
 
-void ServiceHarness::AdmitWindow(int64_t window) {
+void ServiceHarness::AdmitWindow(WindowSession* session) {
+  const int64_t window = session->window;
   WindowMetrics metrics;
   metrics.window = window;
   metrics.day = window / spd_;
@@ -455,8 +437,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   const SpacetimeSpec day_spacetime = source_.DaySpacetime();
   const double day_start =
       static_cast<double>(metrics.day) * source_.day_horizon();
-  std::vector<int64_t>& admitted =
-      segment_.admitted[static_cast<size_t>(window - segment_.begin)];
+  std::vector<int64_t>& admitted = session->admitted;
   for (size_t i = 0; i < batch.size(); ++i) {
     if (shed_flag[i]) {
       ++metrics.shed;
@@ -488,7 +469,7 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   metrics.guide_age_windows =
       snapshot.guide == nullptr ? -1 : window - snapshot.published_window;
   metrics.refresh_failures = refresher_->stats().failed_cycles;
-  metrics.degraded_greedy = segment_.degraded;
+  metrics.degraded_greedy = session->degraded;
   if (pending_refresh_report_.has_value()) {
     const GuideRefresher::CycleReport& report = *pending_refresh_report_;
     metrics.refresh_ms = report.solve_ms;
@@ -511,51 +492,46 @@ void ServiceHarness::AdmitWindow(int64_t window) {
   windows_.push_back(metrics);
 }
 
-Status ServiceHarness::ReplaySegment() {
-  Segment segment = std::move(segment_);
-  segment_ = Segment{};
-  ++totals_.segments;
+Status ServiceHarness::ReplayWindow(const WindowSession& session) {
+  const int64_t window = session.window;
+  WindowMetrics& metrics = windows_[static_cast<size_t>(window)];
   const double day_start =
-      static_cast<double>(segment.day) * source_.day_horizon();
+      static_cast<double>(session.day) * source_.day_horizon();
 
-  // The segment universe: the carryover plus this segment's admissions,
-  // all on the day-relative axis the guide's spacetime discretizes, in
-  // session arrival order — nondecreasing time, workers before tasks at
-  // ties, lower ids first. Local ids are assigned in this order, so the id
+  // The window's universe: the carryover plus the window's admissions, all
+  // on the day-relative axis the guide's spacetime discretizes, in session
+  // arrival order — nondecreasing time, workers before tasks at ties,
+  // lower ids first. Local ids are assigned in this order, so the id
   // tie-break and the stream-id tie-break agree.
   const auto arrival_order = [](const SpineEntry& a, const SpineEntry& b) {
     if (a.rel_time != b.rel_time) return a.rel_time < b.rel_time;
     if (a.kind != b.kind) return a.kind == ObjectKind::kWorker;
     return a.stream_id < b.stream_id;
   };
-  // This segment's admissions are already in arrival order by
-  // construction: each window's batch is fed in (time, kind, source) order
-  // and stream ids are handed out along it, windows never interleave times.
+  // The admissions are already in arrival order by construction: the
+  // window's batch is fed in (time, kind, source) order and stream ids are
+  // handed out along it.
   std::vector<SpineEntry> fresh;
-  for (size_t offset = 0; offset < segment.admitted.size(); ++offset) {
-    for (const int64_t stream_id : segment.admitted[offset]) {
-      const ObjectRecord& record = store_.at(stream_id);
-      fresh.push_back(SpineEntry{
-          stream_id, record.kind, record.abs_start - day_start,
-          record.duration, record.location,
-          segment.begin + static_cast<int64_t>(offset)});
-    }
+  fresh.reserve(session.admitted.size());
+  for (const int64_t stream_id : session.admitted) {
+    const ObjectRecord& record = store_.at(stream_id);
+    fresh.push_back(SpineEntry{stream_id, record.kind,
+                               record.abs_start - day_start, record.duration,
+                               record.location});
   }
   std::vector<SpineEntry> objects;
   if (options_.incremental_rotation) {
-    // Incremental rotation: the spine is the compacted, sorted carryover
-    // (CompactSpine ran at StartSegment); stamp its latency-attribution
-    // window and merge with the sorted admissions — O(carryover + new),
-    // replacing the rebuild's full re-sort.
-    for (SpineEntry& entry : spine_) entry.window = segment.begin;
+    // Incremental mode: the spine is the compacted, sorted carryover
+    // (CompactSpine ran at StartWindow); merge it with the sorted
+    // admissions — O(carryover + new), replacing the rebuild's re-sort.
     objects.resize(spine_.size() + fresh.size());
     std::merge(spine_.begin(), spine_.end(), fresh.begin(), fresh.end(),
                objects.begin(), arrival_order);
   } else {
     // Rebuild reference: derive the carryover from the store records and
     // sort the whole universe.
-    objects.reserve(segment.carryover.size() + fresh.size());
-    for (const int64_t stream_id : segment.carryover) {
+    objects.reserve(session.carryover.size() + fresh.size());
+    for (const int64_t stream_id : session.carryover) {
       const ObjectRecord& record = store_.at(stream_id);
       // A previous-day survivor re-enters at the day boundary with its
       // remaining patience; same-day carryover keeps its true start.
@@ -567,8 +543,7 @@ Status ServiceHarness::ReplaySegment() {
       }
       if (duration <= 0.0) continue;
       objects.push_back(SpineEntry{stream_id, record.kind, rel_start,
-                                   duration, record.location,
-                                   segment.begin});
+                                   duration, record.location});
     }
     objects.insert(objects.end(), fresh.begin(), fresh.end());
     std::sort(objects.begin(), objects.end(), arrival_order);
@@ -596,13 +571,13 @@ Status ServiceHarness::ReplaySegment() {
                           source_.generator().profile().velocity,
                           std::move(workers), std::move(tasks));
 
-  // Ladder rung for this segment, fixed at its start: fresh/stale guide,
-  // or guide-free greedy.
+  // The ladder rung read at the window's start: fresh/stale guide, or
+  // guide-free greedy.
   AlgorithmDeps deps;
-  deps.guide = segment.start_guide.guide;
+  deps.guide = session.guide.guide;
   deps.retrieval = options_.retrieval;
   const std::string name =
-      segment.degraded ? "simple-greedy" : options_.algorithm;
+      session.degraded ? "simple-greedy" : options_.algorithm;
   FTOA_ASSIGN_OR_RETURN(std::unique_ptr<OnlineAlgorithm> algorithm,
                         CreateAlgorithm(name, deps));
   ShardedOptions sharded;
@@ -613,20 +588,19 @@ Status ServiceHarness::ReplaySegment() {
   // refresher's bounded slice instead of a dispatcher-owned pool.
   sharded.external_pool = shared_pool_.get();
   ShardedDispatcher dispatcher(algorithm.get(), sharded);
-  std::unique_ptr<ShardedSession> session = dispatcher.StartSession(instance);
-  session->set_collect_dispatches(false);
+  std::unique_ptr<ShardedSession> shards = dispatcher.StartSession(instance);
+  shards->set_collect_dispatches(false);
 
-  // Replay with AdvanceTo at every window boundary; mid-segment guide
-  // publishes hot-swap at their boundary; injected handoff drops skip
-  // whole (window, lane) batches; latency is measured per fed event.
+  // Feed the carryover that arrived before the window's start, advance to
+  // the start, decide the window's handoff drops, then feed the rest;
+  // injected drops skip whole lane batches, latency is measured per fed
+  // event.
   size_t cursor = 0;
-  size_t swap_cursor = 0;
   std::vector<char> lane_dropped(static_cast<size_t>(options_.num_shards), 0);
-  std::vector<std::vector<int64_t>> latency_ns(
-      static_cast<size_t>(segment.end - segment.begin));
+  std::vector<int64_t> latency_ns;
+  latency_ns.reserve(objects.size());
   Stopwatch stopwatch;
-  const auto feed_until = [&](double rel_bound, int64_t window) {
-    const size_t metrics_index = static_cast<size_t>(window - segment.begin);
+  const auto feed_until = [&](double rel_bound) {
     for (; cursor < objects.size() && objects[cursor].rel_time < rel_bound;
          ++cursor) {
       const SpineEntry& object = objects[cursor];
@@ -634,49 +608,39 @@ Status ServiceHarness::ReplaySegment() {
       // the session router's assignment over the session-local id — so an
       // injected drop-batch fault hits one actual shard's handoff, not a
       // synthetic stream-id stripe.
-      const int lane = session->router().Route(object.kind, local_id[cursor],
-                                               object.location);
+      const int lane = shards->router().Route(object.kind, local_id[cursor],
+                                              object.location);
       if (lane_dropped[static_cast<size_t>(lane)]) {
-        ++windows_[static_cast<size_t>(window)].dropped_arrivals;
+        ++metrics.dropped_arrivals;
         ++totals_.dropped_arrivals;
         continue;
       }
       stopwatch.Restart();
       if (object.kind == ObjectKind::kWorker) {
-        session->OnWorker(local_id[cursor], object.rel_time);
+        shards->OnWorker(local_id[cursor], object.rel_time);
       } else {
-        session->OnTask(local_id[cursor], object.rel_time);
+        shards->OnTask(local_id[cursor], object.rel_time);
       }
       const double stall_ms = faults_.SlowShardStallMs(window, lane);
-      latency_ns[metrics_index].push_back(
-          stopwatch.ElapsedNanos() +
-          static_cast<int64_t>(stall_ms * 1e6));
+      latency_ns.push_back(stopwatch.ElapsedNanos() +
+                           static_cast<int64_t>(stall_ms * 1e6));
     }
   };
-
-  for (int64_t window = segment.begin; window < segment.end; ++window) {
-    const double rel_start = static_cast<double>(window % spd_);
-    if (window == segment.begin) feed_until(rel_start, window);
-    session->AdvanceTo(rel_start);
-    while (swap_cursor < segment.swaps.size() &&
-           segment.swaps[swap_cursor].first <= window) {
-      session->SwapGuide(segment.swaps[swap_cursor].second);
-      ++swap_cursor;
-    }
-    for (int lane = 0; lane < options_.num_shards; ++lane) {
-      lane_dropped[static_cast<size_t>(lane)] =
-          faults_.ShouldDropHandoffBatch(window, lane) ? 1 : 0;
-    }
-    feed_until(rel_start + 1.0, window);
+  const double rel_start = static_cast<double>(window % spd_);
+  feed_until(rel_start);
+  shards->AdvanceTo(rel_start);
+  for (int lane = 0; lane < options_.num_shards; ++lane) {
+    lane_dropped[static_cast<size_t>(lane)] =
+        faults_.ShouldDropHandoffBatch(window, lane) ? 1 : 0;
   }
+  feed_until(rel_start + 1.0);
 
-  FTOA_ASSIGN_OR_RETURN(ShardedRunResult result, session->Finish());
-  totals_.guide_swaps += result.metrics.guide_swaps;
+  FTOA_ASSIGN_OR_RETURN(ShardedRunResult result, shards->Finish());
 
-  // Fold the segment's outcome back: committed pairs to stream ids, the
-  // store's matched flags (with live accounting against the expiry
-  // horizon), and the per-window latency report.
-  const int64_t rotation_window = segment.end - 1;
+  // Fold the outcome back: committed pairs to stream ids, the store's
+  // matched flags and live accounting (every universe member is still
+  // live here: expiry only pops at a window's start, and the carryover
+  // filter drops exactly what it pops), and the window's report.
   for (const MatchedPair& pair : result.assignment.pairs()) {
     const int64_t worker_id = worker_stream[static_cast<size_t>(pair.worker)];
     const int64_t task_id = task_stream[static_cast<size_t>(pair.task)];
@@ -685,48 +649,32 @@ Status ServiceHarness::ReplaySegment() {
       auto it = store_.find(stream_id);
       if (it == store_.end() || it->second.matched) continue;
       it->second.matched = true;
-      if (it->second.Deadline() > expired_up_to_) --live_;
+      --live_;
       if (options_.evict_expired) store_.erase(it);
     }
   }
   totals_.matched += static_cast<int64_t>(result.assignment.size());
-  windows_[static_cast<size_t>(rotation_window)].matched +=
-      static_cast<int64_t>(result.assignment.size());
-  {
-    // Retrieval instrumentation of the rotated segment (merged across its
-    // shard sessions by the dispatcher's trace fold).
-    const RetrievalStats& retrieval = result.trace.retrieval;
-    WindowMetrics& rotated = windows_[static_cast<size_t>(rotation_window)];
-    rotated.retrieval_queries += retrieval.queries;
-    rotated.candidates_examined += retrieval.candidates_examined;
-    rotated.cells_visited_p50 = retrieval.CellsVisitedPercentile(0.50);
-    rotated.cells_visited_p99 = retrieval.CellsVisitedPercentile(0.99);
-  }
+  metrics.matched = static_cast<int64_t>(result.assignment.size());
+  // Retrieval instrumentation, merged across the shard sessions by the
+  // dispatcher's trace fold.
+  const RetrievalStats& retrieval = result.trace.retrieval;
+  metrics.retrieval_queries = retrieval.queries;
+  metrics.candidates_examined = retrieval.candidates_examined;
+  metrics.cells_visited_p50 = retrieval.CellsVisitedPercentile(0.50);
+  metrics.cells_visited_p99 = retrieval.CellsVisitedPercentile(0.99);
 
-  for (int64_t window = segment.begin; window < segment.end; ++window) {
-    WindowMetrics& metrics = windows_[static_cast<size_t>(window)];
-    std::vector<int64_t>& sample =
-        latency_ns[static_cast<size_t>(window - segment.begin)];
-    metrics.decisions = static_cast<int64_t>(sample.size());
-    metrics.p50_ms = PercentileMs(&sample, 50.0);
-    metrics.p99_ms = PercentileMs(&sample, 99.0);
-    if (!sample.empty()) {
-      metrics.max_ms = static_cast<double>(
-                           *std::max_element(sample.begin(), sample.end())) /
-                       1e6;
-    }
-    last_known_p99_ms_ = metrics.p99_ms;
+  metrics.decisions = static_cast<int64_t>(latency_ns.size());
+  metrics.p50_ms = PercentileMs(&latency_ns, 50.0);
+  metrics.p99_ms = PercentileMs(&latency_ns, 99.0);
+  if (!latency_ns.empty()) {
+    metrics.max_ms = static_cast<double>(*std::max_element(
+                         latency_ns.begin(), latency_ns.end())) /
+                     1e6;
   }
-
-  // Rotation is the eviction point: free the records that expired during
-  // the segment (those the fold matched are already gone).
-  if (options_.evict_expired) {
-    for (const int64_t stream_id : deferred_free_) store_.erase(stream_id);
-  }
-  deferred_free_.clear();
+  last_known_p99_ms_ = metrics.p99_ms;
 
   if (options_.incremental_rotation) {
-    // The next spine: this segment's universe members whose records
+    // The next spine: this window's universe members whose records
     // survived unmatched, in the order they already hold (filtering a
     // sorted list preserves its order). O(carryover + new) — the store is
     // never scanned. Entries whose deadline has passed but whose record
@@ -738,7 +686,7 @@ Status ServiceHarness::ReplaySegment() {
       if (it == store_.end() || it->second.matched) continue;
       spine_.push_back(object);
     }
-    spine_day_ = segment.day;
+    spine_day_ = session.day;
   }
   return Status::OK();
 }
@@ -749,17 +697,9 @@ Status ServiceHarness::RunWindows(int64_t count) {
     ++next_window_;
     if (window % spd_ == 0) FTOA_RETURN_NOT_OK(StartDay(window / spd_));
     FTOA_RETURN_NOT_OK(HandleRefresh(window));
-    if (!segment_.open) StartSegment(window);
-    AdmitWindow(window);
-    if (window + 1 == segment_.end) FTOA_RETURN_NOT_OK(ReplaySegment());
-  }
-  if (segment_.open) {
-    // Rotate the partial segment so every emitted window reports complete
-    // metrics (the next RunWindows starts a fresh segment).
-    segment_.end = next_window_;
-    segment_.admitted.resize(static_cast<size_t>(segment_.end -
-                                                 segment_.begin));
-    FTOA_RETURN_NOT_OK(ReplaySegment());
+    WindowSession session = StartWindow(window);
+    AdmitWindow(&session);
+    FTOA_RETURN_NOT_OK(ReplayWindow(session));
   }
   return Status::OK();
 }

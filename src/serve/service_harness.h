@@ -11,40 +11,39 @@
 // The harness processes windows in order; every window emits one
 // WindowMetrics row — the soak's observability surface.
 //
-// Session model: sessions run over fixed object universes, so the
-// unbounded stream is cut into *segments* of windows_per_segment windows
-// (never crossing a day boundary — the guide's type space is one day).
-// Arrivals admitted during a segment plus the previous segments' still-live
-// unmatched objects (the carryover) form the segment's instance; the
-// segment is replayed through one ShardedSession with AdvanceTo at every
-// window boundary, then finished and its matches folded back into the
-// store. Objects an injected fault drops on the harness→session handoff
-// stay unmatched and are redelivered with the next carryover.
+// Session model: sessions run over fixed object universes, so every window
+// is served by a session of its own. The window's universe is the earlier
+// windows' still-live unmatched objects (the carryover) plus the window's
+// admissions. The session is fed the carryover that arrived before the
+// window's start, advanced to that start, and fed the rest in arrival
+// order; it is then finished and its matches folded back into the store.
+// RunWindows(n) is therefore exactly n calls of RunWindows(1). Objects an
+// injected fault drops on the harness→session handoff stay unmatched and
+// are redelivered with the next window's carryover.
 //
 // Guide lifecycle: a GuideRefresher re-solves the guide from realized
 // per-type counts (previous completed day; the generator's history before
 // any day completed) every refresh_period_windows, inline or on a
-// background thread. A publish landing inside a running segment is
-// hot-swapped into the live sessions at the next window boundary
-// (ShardedSession::SwapGuide — epoch swap at an AdvanceTo boundary, so the
-// replay stays deterministic). The degradation ladder at segment start:
+// background thread polled at every window start. Guide-free algorithms
+// never refresh. A publish lands before the window's session starts, so
+// that window already serves with it. The degradation ladder, per window:
 // fresh guide -> stale guide (refresh failed, slot kept) -> guide-free
 // greedy (no guide yet, or staleness beyond max_guide_age_windows).
 //
 // Memory model: every admitted object lives in an id-keyed store plus a
-// deadline-ordered min-heap. At each window boundary objects whose
-// deadline has passed are popped; with evict_expired on (the serving
-// default) their records are freed — the store never holds more than the
-// live set plus the current segment. Eviction is *observationally
-// inert by construction*: the heap, the live counter, and the carryover
-// filter run identically with eviction on or off, so the committed
-// assignments are bit-identical (the eviction property tests pin this).
+// deadline-ordered min-heap. At each window start objects whose deadline
+// has passed are popped; with evict_expired on (the serving default) their
+// records are freed at once (no member of the window's universe has
+// expired) — the store never holds more than the live set plus the
+// window's admissions. Eviction is *observationally inert by
+// construction*: the heap, the live counter, and the carryover filter run
+// identically with eviction on or off, so the committed assignments are
+// bit-identical (the eviction property tests pin this).
 //
 // Admission control: per window the harness sheds deterministically,
 // oldest deadline first, whenever the offered batch exceeds
-// max_queue_depth, the last completed window's p99 exceeded slo_p99_ms
-// (backpressure; the signal lags by up to one segment because latency is
-// measured at replay), or admitting would exceed max_live_objects.
+// max_queue_depth, the previous window's p99 exceeded slo_p99_ms
+// (backpressure), or admitting would exceed max_live_objects.
 
 #ifndef FTOA_SERVE_SERVICE_HARNESS_H_
 #define FTOA_SERVE_SERVICE_HARNESS_H_
@@ -76,7 +75,7 @@ struct ServiceOptions {
   /// "simple-greedy" when no usable guide exists).
   std::string algorithm = "polar-op";
 
-  /// Sharding of each segment's session (sim/sharded_dispatcher).
+  /// Sharding of each window's session (sim/sharded_dispatcher).
   int num_shards = 1;
   int shard_threads = 1;
   bool reconcile = false;
@@ -84,16 +83,13 @@ struct ServiceOptions {
   /// Candidate-retrieval backend of the served algorithms (the CLI's
   /// --retrieval flag). kEngine routes every spatial candidate scan —
   /// including the degraded-greedy rung's — through the shared retrieval
-  /// engine and surfaces its per-query stats in the rotation window's
+  /// engine and surfaces its per-query stats in the window's
   /// WindowMetrics. Assignments are bit-identical across modes.
   RetrievalMode retrieval = RetrievalMode::kLinear;
 
-  /// Windows per session segment; 0 = a full day (slots_per_day). Clamped
-  /// to [1, slots_per_day] — segments never cross a day boundary.
-  int windows_per_segment = 0;
-
   /// Windows between guide refresh cycles; 0 = once per day. The first
   /// cycle runs at window 0 (the bootstrap, from the generator's history).
+  /// Algorithms that follow no guide never refresh.
   int refresh_period_windows = 0;
 
   /// Refresh on the refresher's background thread (poll at every window
@@ -108,13 +104,14 @@ struct ServiceOptions {
   /// realized-counts source. Unknown names fail Create.
   std::string refresh_predictor;
 
-  /// Segment rotation strategy. True (the serving default) maintains a
-  /// persistent sorted arrival spine across segments: carryover survivors
-  /// are compacted/re-timed in place and newly admitted objects are
-  /// merge-inserted, so rotation costs O(carryover + new) instead of
-  /// O(store) + a full re-sort. False runs the PR 6 rebuild reference
-  /// (scan the store, sort everything); committed assignments are
-  /// bit-identical either way (pinned by the rotation equivalence tests).
+  /// Carryover strategy. True (the serving default) maintains a persistent
+  /// sorted arrival spine across windows: carryover survivors are
+  /// compacted/re-timed in place and newly admitted objects are
+  /// merge-inserted, so building a window's universe costs
+  /// O(carryover + new) instead of O(store) + a full re-sort. False runs
+  /// the rebuild reference (scan the store, sort everything); committed
+  /// assignments are bit-identical either way (pinned by the rotation
+  /// equivalence tests).
   bool incremental_rotation = true;
 
   /// Analytical pool isolation: > 0 shares one thread pool between the
@@ -140,7 +137,7 @@ struct ServiceOptions {
   /// admission beyond it sheds. 0 = unlimited.
   int64_t max_live_objects = 0;
 
-  /// Guide staleness (windows since publish) beyond which a segment runs
+  /// Guide staleness (windows since publish) beyond which a window runs
   /// guide-free greedy instead; 0 = never degrade on age alone.
   int64_t max_guide_age_windows = 0;
 
@@ -168,16 +165,14 @@ struct WindowMetrics {
   int64_t flash_clones = 0;  ///< Injected flash-crowd extras within offered.
   int64_t admitted = 0;
   int64_t shed = 0;
-  /// Arrivals lost to an injected handoff drop this window (they are
-  /// redelivered with the next segment's carryover).
+  /// Objects lost to an injected handoff drop this window (they are
+  /// redelivered with the next window's carryover).
   int64_t dropped_arrivals = 0;
-  /// Pairs committed by the segment that rotated at this window (0 for
-  /// non-rotation windows).
+  /// Pairs committed by the window's session.
   int64_t matched = 0;
 
-  /// Candidate-retrieval stats of the rotated segment (attributed to the
-  /// rotation window, like `matched`). All-zero in linear mode and for
-  /// non-rotation windows.
+  /// Candidate-retrieval stats of the window's session. All-zero in linear
+  /// mode.
   int64_t retrieval_queries = 0;
   int64_t candidates_examined = 0;
   int64_t cells_visited_p50 = 0;
@@ -206,22 +201,19 @@ struct WindowMetrics {
   int64_t refresh_components_total = 0;
   int64_t refresh_components_reused = 0;  ///< Dirty = total - reused.
 
-  bool degraded_greedy = false;  ///< Segment ran the ladder's greedy rung.
+  bool degraded_greedy = false;  ///< Window ran the ladder's greedy rung.
   bool overloaded = false;       ///< Any shed trigger fired this window.
 };
 
 /// Lifetime aggregates across all processed windows.
 struct ServiceTotals {
   int64_t windows = 0;
-  int64_t segments = 0;
   int64_t offered = 0;
   int64_t admitted = 0;
   int64_t shed = 0;
   int64_t matched = 0;
   int64_t evictions = 0;
   int64_t dropped_arrivals = 0;
-  /// Guide hot-swaps adopted by running shard sessions (mid-segment).
-  int64_t guide_swaps = 0;
   /// Records freed while still live — the eviction safety invariant; any
   /// nonzero value is a harness bug (pinned by the property tests).
   int64_t evicted_live = 0;
@@ -246,8 +238,9 @@ class ServiceHarness {
       const ServiceOptions& options);
 
   /// Processes the next `count` windows (admission, eviction, refresh,
-  /// replay). A segment still open when the count is reached is rotated
-  /// early, so every emitted window has complete metrics on return.
+  /// replay), one session per window: every emitted window has complete
+  /// metrics on return, and the result never depends on how a stream of
+  /// windows is split across calls.
   Status RunWindows(int64_t count);
 
   const ServiceOptions& options() const { return options_; }
@@ -265,9 +258,9 @@ class ServiceHarness {
   int64_t store_size() const { return static_cast<int64_t>(store_.size()); }
   int64_t guide_epoch() const { return slot_.epoch(); }
 
-  /// Every committed pair as (worker stream id, task stream id), in
-  /// segment rotation order — deterministic, and independent of
-  /// evict_expired (the bit-identity contract).
+  /// Every committed pair as (worker stream id, task stream id), in window
+  /// order — deterministic, and independent of evict_expired (the
+  /// bit-identity contract).
   const std::vector<std::pair<int64_t, int64_t>>& matched_pairs() const {
     return matched_pairs_;
   }
@@ -284,26 +277,20 @@ class ServiceHarness {
     double Deadline() const { return abs_start + duration; }
   };
 
-  /// The segment currently accepting windows.
-  struct Segment {
-    bool open = false;
-    int64_t begin = 0;
-    int64_t end = 0;  ///< One past the last window (may shrink on flush).
+  /// One window's session inputs, fixed at the window's start.
+  struct WindowSession {
+    int64_t window = 0;
     int64_t day = 0;
-    GuideSlot::Snapshot start_guide;
-    bool degraded = false;
-    std::vector<int64_t> carryover;  ///< Stream ids, sorted ascending.
-    std::vector<std::vector<int64_t>> admitted;  ///< Per window, in order.
-    /// Publishes that landed mid-segment: applied at their window's
-    /// AdvanceTo boundary during replay.
-    std::vector<std::pair<int64_t, std::shared_ptr<const OfflineGuide>>>
-        swaps;
+    GuideSlot::Snapshot guide;  ///< Slot contents at the window's start.
+    bool degraded = false;      ///< Serve with the ladder's greedy rung.
+    std::vector<int64_t> carryover;  ///< Rebuild reference: sorted ids.
+    std::vector<int64_t> admitted;   ///< In feed order.
   };
 
-  /// One object of a segment's replay universe, on the day-relative axis.
-  /// Also the element of the persistent rotation spine (incremental mode):
-  /// the spine holds the previous segments' still-live unmatched objects
-  /// sorted by (rel_time, kind, stream_id), rel_time relative to
+  /// One object of a window's replay universe, on the day-relative axis.
+  /// Also the element of the persistent carryover spine (incremental
+  /// mode): the spine holds the previous windows' still-live unmatched
+  /// objects sorted by (rel_time, kind, stream_id), rel_time relative to
   /// spine_day_.
   struct SpineEntry {
     int64_t stream_id = 0;
@@ -311,7 +298,6 @@ class ServiceHarness {
     double rel_time = 0.0;
     double duration = 0.0;
     Point location;
-    int64_t window = 0;  ///< Window its feed latency is attributed to.
   };
 
   ServiceHarness(LoopedTraceSource source, ServiceOptions options,
@@ -325,19 +311,25 @@ class ServiceHarness {
   /// (refresh_predictor mode only): rebuilds the history-plus-realized
   /// dataset and fits fresh predictor instances on it.
   Status RefitPredictors(int64_t day);
-  void StartSegment(int64_t window);
+  /// Reads the ladder rung and gathers the carryover of `window`.
+  WindowSession StartWindow(int64_t window);
   /// Incremental-rotation carryover maintenance: drops dead spine entries
-  /// (matched / freed / expired), re-times survivors when the segment's
+  /// (matched / freed / expired), re-times survivors when the window's
   /// day differs from spine_day_, and restores the spine's sort order.
   /// O(carryover) (+ O(c log c) on a day change), never O(store).
   void CompactSpine(int64_t window, int64_t day);
-  void AdmitWindow(int64_t window);
-  Status ReplaySegment();
+  /// Expiry, admission control and the window's metrics row.
+  void AdmitWindow(WindowSession* session);
+  /// Builds, replays and finishes the window's session, then folds its
+  /// pairs back into the store.
+  Status ReplayWindow(const WindowSession& session);
 
   LoopedTraceSource source_;
   ServiceOptions options_;
   FaultInjector faults_;
   GuideSlot slot_;
+  /// The served algorithm follows a guide (refresh and ladder apply).
+  bool needs_guide_ = false;
   /// Shared worker pool (analytical_slice > 0): shard drains and the
   /// refresher's bounded slice both run on it. Declared before the
   /// refresher so the refresher's slice drains first on destruction.
@@ -373,18 +365,11 @@ class ServiceHarness {
                       std::greater<std::pair<double, int64_t>>>
       deadline_heap_;
   int64_t live_ = 0;
-  /// Expired records awaiting their free at rotation (the open segment's
-  /// replay may still match them; evict_expired mode only).
-  std::vector<int64_t> deferred_free_;
-  /// Deadline bound of the last ExpireUpTo — "already popped" horizon the
-  /// match-marking live accounting keys off.
-  double expired_up_to_ = 0.0;
 
-  Segment segment_;
   double last_known_p99_ms_ = 0.0;  ///< From the last replayed window.
 
-  /// Incremental rotation spine (see SpineEntry) and the day its rel_times
-  /// are relative to (-1 before the first rotation).
+  /// Incremental carryover spine (see SpineEntry) and the day its
+  /// rel_times are relative to (-1 before the first window).
   std::vector<SpineEntry> spine_;
   int64_t spine_day_ = -1;
 

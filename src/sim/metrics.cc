@@ -57,7 +57,6 @@ RunMetrics MergeShardRunMetrics(const std::vector<RunMetrics>& shards) {
     merged.ignored_objects += shard.ignored_objects;
     merged.decisions += shard.decisions;
     merged.reconciled_pairs += shard.reconciled_pairs;
-    merged.guide_swaps += shard.guide_swaps;
     merged.decision_latency_p50_ns = std::max(merged.decision_latency_p50_ns,
                                               shard.decision_latency_p50_ns);
     merged.decision_latency_p99_ns = std::max(merged.decision_latency_p99_ns,

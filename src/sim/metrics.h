@@ -50,10 +50,6 @@ struct RunMetrics {
   /// sharded run (sim/boundary_reconciler); included in matching_size.
   int64_t reconciled_pairs = 0;
 
-  /// Guide hot-swaps adopted by the run's sessions
-  /// (AssignmentSession::SwapGuide; serve/service_harness's live refresh).
-  int64_t guide_swaps = 0;
-
   /// Replaces elapsed_seconds with a measured wall clock without losing the
   /// previous value's information: when the previous elapsed was the
   /// merged critical-path bound of a sharded run, it is preserved in

@@ -60,34 +60,21 @@ void ShardedSession::Route(ObjectKind kind, int32_t id, double time) {
   const int target = router_->Route(kind, id, location);
   const Op::Kind op_kind =
       kind == ObjectKind::kWorker ? Op::Kind::kWorker : Op::Kind::kTask;
-  Stage(*shards_[static_cast<size_t>(target)], Op{op_kind, id, time, {}});
+  Stage(*shards_[static_cast<size_t>(target)], Op{op_kind, id, time});
 }
 
 void ShardedSession::AdvanceTo(double time) {
   // A declared time boundary: stage the advance behind each shard's
   // already-staged events (order preserved) and release every batch.
   for (auto& shard : shards_) {
-    Stage(*shard, Op{Op::Kind::kAdvance, -1, time, {}});
-    FlushStaging(*shard);
-  }
-}
-
-void ShardedSession::SwapGuide(std::shared_ptr<const OfflineGuide> guide) {
-  // Broadcast like AdvanceTo: the swap is ordered behind each shard's
-  // staged events and the batches are released, so every shard adopts the
-  // guide at the same point of its event order.
-  for (auto& shard : shards_) {
-    Op op;
-    op.kind = Op::Kind::kSwapGuide;
-    op.guide = guide;
-    Stage(*shard, std::move(op));
+    Stage(*shard, Op{Op::Kind::kAdvance, -1, time});
     FlushStaging(*shard);
   }
 }
 
 void ShardedSession::Flush() {
   for (auto& shard : shards_) {
-    Stage(*shard, Op{Op::Kind::kFlush, -1, 0.0, {}});
+    Stage(*shard, Op{Op::Kind::kFlush, -1, 0.0});
     FlushStaging(*shard);
   }
   Quiesce();
@@ -161,9 +148,6 @@ void ShardedSession::Apply(Shard& shard, const Op& op) {
       break;
     case Op::Kind::kFlush:
       shard.session->Flush();
-      break;
-    case Op::Kind::kSwapGuide:
-      if (shard.session->SwapGuide(op.guide)) ++shard.guide_swaps;
       break;
   }
 }
@@ -268,7 +252,6 @@ Result<ShardedRunResult> ShardedSession::Finish() {
                               static_cast<double>(shard.latency_ns.size());
     }
     metrics.decisions = shard.decisions;
-    metrics.guide_swaps = shard.guide_swaps;
     // A shard has no wall clock of its own; its busy time is the best
     // per-shard estimate, and the max-merge below yields the critical-path
     // bound callers may overwrite with a measured wall clock.

@@ -168,13 +168,6 @@ class ShardedSession {
   /// progress reaches the shards immediately.
   void AdvanceTo(double time);
 
-  /// Broadcasts a guide hot-swap (AssignmentSession::SwapGuide) to every
-  /// shard session, ordered behind each shard's already-staged events like
-  /// AdvanceTo — the swap lands at the same point of every shard's event
-  /// order regardless of threading. Shards that adopt it are counted in
-  /// their RunMetrics::guide_swaps. Call only at a time boundary.
-  void SwapGuide(std::shared_ptr<const OfflineGuide> guide);
-
   /// Forces all deferred per-shard work (staged batches, batch-window
   /// tails, OPT's solve) and, in threaded mode, blocks until every shard
   /// queue has drained.
@@ -192,26 +185,17 @@ class ShardedSession {
 
   /// One queued session call (threaded mode).
   struct Op {
-    enum class Kind : uint8_t {
-      kWorker,
-      kTask,
-      kAdvance,
-      kFlush,
-      kSwapGuide
-    };
+    enum class Kind : uint8_t { kWorker, kTask, kAdvance, kFlush };
     Kind kind = Kind::kWorker;
     int32_t id = -1;
     double time = 0.0;
-    /// kSwapGuide payload (null otherwise).
-    std::shared_ptr<const OfflineGuide> guide;
   };
 
   struct Shard {
     std::unique_ptr<AssignmentSession> session;
-    // Written only by the applying thread: exact decision count, adopted
-    // guide swaps, and the systematically-sampled latency trace.
+    // Written only by the applying thread: exact decision count and the
+    // systematically-sampled latency trace.
     int64_t decisions = 0;
-    int64_t guide_swaps = 0;
     std::vector<int64_t> latency_ns;
 
     /// Caller-side staging buffer (threaded mode): touched only by the

@@ -4,8 +4,6 @@
 //  * every engine returns the same (flow, cost) Outcome as the SolveSpfa
 //    oracle on the same instance — per-edge flow patterns may differ
 //    between equally cheap solutions, the (flow, cost) pair pins them;
-//  * per engine, the solved per-edge flows are bit-identical at any thread
-//    count (SetParallelism only shards order-insensitive scans);
 //  * kAuto is a pure function of the instance shape;
 //  * near-limit costs saturate instead of wrapping (the kInf audit).
 
@@ -341,65 +339,6 @@ TEST_P(EngineWarmStartStressTest, AddEdgeThenResumeReachesTheOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineWarmStartStressTest,
                          ::testing::Range<uint64_t>(1, 13));
-
-// ---------------------------------------------------------------------------
-// Thread-count invariance: per engine, per-edge flows are bit-identical
-// with and without the lent pool (min_parallel_items = 1 forces the
-// parallel scans even on these small instances).
-
-class EngineThreadInvarianceStressTest
-    : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(EngineThreadInvarianceStressTest, ParallelScansAreBitIdentical) {
-  Rng rng(GetParam() * 9176 + 41);
-  const int32_t side = 24;
-  const int32_t source = 0;
-  const int32_t sink = 1 + 2 * side;
-  EdgeSpec edges;
-  for (int32_t w = 0; w < side; ++w) {
-    edges.push_back({source, 1 + w,
-                     1 + static_cast<int64_t>(rng.NextBounded(3)), 0});
-  }
-  for (int32_t r = 0; r < side; ++r) {
-    edges.push_back({1 + side + r, sink,
-                     1 + static_cast<int64_t>(rng.NextBounded(3)), 0});
-  }
-  for (int32_t w = 0; w < side; ++w) {
-    for (int32_t r = 0; r < side; ++r) {
-      if (rng.NextBool(0.5)) {
-        edges.push_back({1 + w, 1 + side + r,
-                         1 + static_cast<int64_t>(rng.NextBounded(2)),
-                         static_cast<int64_t>(rng.NextBounded(900))});
-      }
-    }
-  }
-
-  ThreadPool pool(3);
-  for (const FlowEngine engine :
-       {FlowEngine::kBlockingSsp, FlowEngine::kCostScaling}) {
-    MinCostFlowGraph serial = BuildGraph(sink + 1, edges);
-    const auto serial_outcome = serial.Solve(source, sink, engine);
-
-    for (const int threads : {2, 3}) {
-      MinCostFlowGraph parallel = BuildGraph(sink + 1, edges);
-      parallel.SetParallelism(&pool, threads, /*min_parallel_items=*/1);
-      const auto parallel_outcome = parallel.Solve(source, sink, engine);
-      EXPECT_EQ(parallel_outcome.flow, serial_outcome.flow)
-          << FlowEngineName(engine) << " threads=" << threads;
-      EXPECT_EQ(parallel_outcome.cost, serial_outcome.cost)
-          << FlowEngineName(engine) << " threads=" << threads;
-      for (size_t e = 0; e < serial.num_edges(); ++e) {
-        ASSERT_EQ(parallel.Flow(static_cast<int32_t>(2 * e)),
-                  serial.Flow(static_cast<int32_t>(2 * e)))
-            << FlowEngineName(engine) << " threads=" << threads
-            << " edge=" << e;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineThreadInvarianceStressTest,
-                         ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
 // Engine-specific behavior.

@@ -1,14 +1,17 @@
-// PR tentpole equivalences at the harness level.
+// Harness-level equivalences.
 //
 // Rotation: the incremental spine (ServiceOptions::incremental_rotation)
-// must commit exactly the pairs of the PR 6 rebuild reference on the same
-// stream — across algorithms, shard counts, segment lengths, eviction
-// settings, fault plans, and day boundaries. The spine is an optimization
-// of *how* the carryover universe is assembled, never of what it contains.
+// must commit exactly the pairs of the rebuild reference on the same
+// stream — across algorithms, shard counts, eviction settings, fault
+// plans, and day boundaries. The spine is an optimization of *how* the
+// carryover universe is assembled, never of what it contains.
+//
+// Chunking: one session per window, so RunWindows(n) commits exactly what
+// n calls of RunWindows(1) commit, whatever refreshes and faults land.
 //
 // Refresh: a harness serving with GuideRefreshMode::kWarm must match the
-// cold-serving harness bit for bit, including mid-segment hot-swap
-// publishes, while actually reusing component solves (the reuse totals
+// cold-serving harness bit for bit, including refreshes every few
+// windows, while actually reusing component solves (the reuse totals
 // prove the warm path engaged, not silently fell back cold).
 //
 // The *Stress* suite fuzzes option interleavings under the `stress` ctest
@@ -64,29 +67,25 @@ void ExpectSamePairs(const ServiceHarness& a, const ServiceHarness& b,
 TEST(RotationEquivalenceTest, SpineMatchesRebuildAcrossAlgorithmsAndShards) {
   for (const char* algorithm : {"simple-greedy", "tgoa", "polar-op"}) {
     for (const int shards : {1, 3}) {
-      for (const int wps : {2, 6}) {
-        for (const bool evict : {true, false}) {
-          ServiceOptions incremental;
-          incremental.algorithm = algorithm;
-          incremental.num_shards = shards;
-          incremental.windows_per_segment = wps;
-          incremental.evict_expired = evict;
-          incremental.incremental_rotation = true;
-          ServiceOptions rebuild = incremental;
-          rebuild.incremental_rotation = false;
+      for (const bool evict : {true, false}) {
+        ServiceOptions incremental;
+        incremental.algorithm = algorithm;
+        incremental.num_shards = shards;
+        incremental.evict_expired = evict;
+        incremental.incremental_rotation = true;
+        ServiceOptions rebuild = incremental;
+        rebuild.incremental_rotation = false;
 
-          auto a = MakeHarness(incremental);
-          auto b = MakeHarness(rebuild);
-          // 20 windows = 3+ days: multiple day-boundary re-timings.
-          ASSERT_TRUE(a->RunWindows(20).ok());
-          ASSERT_TRUE(b->RunWindows(20).ok());
-          ExpectSamePairs(
-              *a, *b,
-              std::string(algorithm) + " shards=" + std::to_string(shards) +
-                  " wps=" + std::to_string(wps) +
-                  (evict ? " evict" : " no-evict"));
-          EXPECT_GT(a->totals().matched, 0);
-        }
+        auto a = MakeHarness(incremental);
+        auto b = MakeHarness(rebuild);
+        // 20 windows = 3+ days: multiple day-boundary re-timings.
+        ASSERT_TRUE(a->RunWindows(20).ok());
+        ASSERT_TRUE(b->RunWindows(20).ok());
+        ExpectSamePairs(*a, *b,
+                        std::string(algorithm) +
+                            " shards=" + std::to_string(shards) +
+                            (evict ? " evict" : " no-evict"));
+        EXPECT_GT(a->totals().matched, 0);
       }
     }
   }
@@ -94,10 +93,9 @@ TEST(RotationEquivalenceTest, SpineMatchesRebuildAcrossAlgorithmsAndShards) {
 
 TEST(RotationEquivalenceTest, SpineMatchesRebuildUnderFaults) {
   // Dropped handoffs leave objects for redelivery, flash crowds force
-  // shedding, and a failed refresh degrades a segment — all paths that
+  // shedding, and a failed refresh degrades windows — all paths that
   // exercise the spine's carryover filter differently from a clean run.
   ServiceOptions incremental;
-  incremental.windows_per_segment = 4;  // Shrinks to 2 at day boundaries.
   incremental.max_queue_depth = 80;
   incremental.faults =
       "drop-batch@3-4,flash@7-8:factor=6,guide-fail@6-6:count=1";
@@ -113,12 +111,55 @@ TEST(RotationEquivalenceTest, SpineMatchesRebuildUnderFaults) {
   EXPECT_GT(a->totals().shed, 0);
 }
 
-TEST(WarmRefreshServeTest, WarmServeMatchesColdIncludingHotSwaps) {
-  // refresh_period 3 on 6-window days: every second refresh publishes
-  // mid-segment (hot-swap), and re-solves within one day see an unchanged
-  // prediction — the warm cache's steady state. kCompressed keeps the
-  // solve on the component-reusing path (kAuto would pick node-level at
-  // this scale and run cold by design).
+TEST(ChunkingEquivalenceTest, RunWindowsIsIndependentOfChunking) {
+  // Two days served by one call must commit the pairs, in order and per
+  // window, of the same two days served one window per call — with and
+  // without refreshes inside the day and an injected handoff drop.
+  constexpr int64_t kWindows = 12;  // 2 days of 6 windows.
+  for (const char* algorithm : {"simple-greedy", "gr", "tgoa", "polar-op"}) {
+    for (const int shards : {1, 3}) {
+      for (const bool refresh : {false, true}) {
+        for (const bool drop : {false, true}) {
+          ServiceOptions options;
+          options.algorithm = algorithm;
+          options.num_shards = shards;
+          if (refresh) options.refresh_period_windows = 3;
+          if (drop) options.faults = "drop-batch@4-5";
+          const std::string context =
+              std::string(algorithm) + " shards=" + std::to_string(shards) +
+              (refresh ? " refresh=3" : "") + (drop ? " drop" : "");
+
+          auto whole = MakeHarness(options);
+          auto stepped = MakeHarness(options);
+          ASSERT_TRUE(whole->RunWindows(kWindows).ok()) << context;
+          for (int64_t w = 0; w < kWindows; ++w) {
+            ASSERT_TRUE(stepped->RunWindows(1).ok()) << context;
+          }
+          ExpectSamePairs(*whole, *stepped, context);
+          ASSERT_EQ(whole->windows().size(), stepped->windows().size());
+          for (size_t w = 0; w < whole->windows().size(); ++w) {
+            EXPECT_EQ(whole->windows()[w].matched,
+                      stepped->windows()[w].matched)
+                << context << " window " << w;
+            EXPECT_EQ(whole->windows()[w].dropped_arrivals,
+                      stepped->windows()[w].dropped_arrivals)
+                << context << " window " << w;
+          }
+          EXPECT_GT(whole->totals().matched, 0) << context;
+          if (drop) {
+            EXPECT_GT(whole->totals().dropped_arrivals, 0) << context;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(WarmRefreshServeTest, WarmServeMatchesColdAcrossRefreshes) {
+  // refresh_period 3 on 6-window days: two publishes a day, and re-solves
+  // within one day see an unchanged prediction — the warm cache's steady
+  // state. kCompressed keeps the solve on the component-reusing path (kAuto
+  // would pick node-level at this scale and run cold by design).
   ServiceOptions cold;
   cold.refresh_period_windows = 3;
   cold.guide.engine = GuideOptions::Engine::kCompressed;
@@ -131,7 +172,7 @@ TEST(WarmRefreshServeTest, WarmServeMatchesColdIncludingHotSwaps) {
   ASSERT_TRUE(a->RunWindows(18).ok());
   ASSERT_TRUE(b->RunWindows(18).ok());
   ExpectSamePairs(*a, *b, "warm vs cold serve");
-  EXPECT_GT(a->totals().guide_swaps, 0);  // Hot-swaps actually landed.
+  EXPECT_EQ(a->refresher_stats().publishes, 6);  // Windows 0, 3, ..., 15.
 
   // The warm harness reused solves (within-day refreshes see the same
   // realized counts); the cold one never does.
@@ -247,18 +288,17 @@ TEST(FaultLaneTest, ShardTargetedDropsFollowTheRouterNotStreamIds) {
   // thread counts, since Route is a pure function of (kind, id, location).
   ServiceOptions options;
   options.num_shards = 2;
-  options.windows_per_segment = 3;
   options.faults = "drop-batch@0-8:shard=0";
   auto harness = MakeHarness(options);
   ASSERT_TRUE(harness->RunWindows(9).ok());
   EXPECT_GT(harness->totals().dropped_arrivals, 0);
-  // Shard 1's band was never dropped: traffic flowed and matched every
-  // segment, unlike the all-lanes drop below.
+  // Shard 1's band was never dropped: traffic flowed and matched, unlike
+  // the all-lanes drop below.
   EXPECT_GT(harness->totals().matched, 0);
 
   // Dropping every lane loses strictly more traffic than dropping one
-  // shard's band (segment-start carryover redelivery still gets through
-  // in both runs — drop-batch governs per-window handoffs).
+  // shard's band (carryover that arrived before a window's start is
+  // redelivered ahead of that window's drop decision in both runs).
   ServiceOptions all_lanes = options;
   all_lanes.faults = "drop-batch@0-8";  // No shard filter: whole handoff.
   auto nothing = MakeHarness(all_lanes);
@@ -287,7 +327,6 @@ TEST(RotationRefreshStressTest, FuzzedInterleavingsStayEquivalent) {
         std::vector<const char*>{"simple-greedy", "tgoa",
                                  "polar-op"}[draw.NextBounded(3)];
     base.num_shards = static_cast<int>(draw.NextInt(1, 3));
-    base.windows_per_segment = static_cast<int>(draw.NextInt(1, 6));
     base.refresh_period_windows = static_cast<int>(draw.NextInt(1, 6));
     base.evict_expired = draw.NextBool();
     base.guide.engine = GuideOptions::Engine::kCompressed;

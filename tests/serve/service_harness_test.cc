@@ -51,8 +51,13 @@ TEST(ServiceHarnessTest, EveryWindowReportsMetrics) {
   EXPECT_GT(admitted, 0);
   EXPECT_EQ(admitted, harness->totals().admitted);
   EXPECT_GT(harness->totals().matched, 0);
-  EXPECT_EQ(harness->totals().segments, 2);  // One per day by default.
-  EXPECT_EQ(harness->totals().shed, 0);      // No caps, no faults.
+  // Every window's session reports its own pairs.
+  int64_t matched = 0;
+  for (const WindowMetrics& window : harness->windows()) {
+    matched += window.matched;
+  }
+  EXPECT_EQ(matched, harness->totals().matched);
+  EXPECT_EQ(harness->totals().shed, 0);  // No caps, no faults.
 }
 
 TEST(ServiceHarnessTest, EvictionKeepsMemoryBoundedAndNeverFreesLive) {
@@ -128,16 +133,59 @@ TEST(ServiceHarnessTest, MaxLiveObjectsCapsAdmission) {
   EXPECT_GT(harness->totals().shed, 0);
 }
 
-TEST(ServiceHarnessTest, GuideHotSwapLandsMidSegment) {
+TEST(ServiceHarnessTest, RefreshIsAdoptedAtItsPublishWindow) {
+  // The bootstrap refresh fails; the next cycle (window 3) publishes.
+  // Windows 0-2 run the greedy rung; from window 3 on every window is
+  // guided, and each window's guide epoch moves exactly at a publish
+  // window (3, 6, 9), so the window that follows a publish serves with it.
   ServiceOptions options;
-  options.refresh_period_windows = 3;  // Publishes inside each day segment.
+  options.refresh_period_windows = 3;
+  options.faults = "guide-fail@0-0:count=1";
   auto harness = MakeHarness(options);
   ASSERT_TRUE(harness->RunWindows(12).ok());
 
-  // Refreshes at windows 0, 3, 6, 9: two land mid-segment and are adopted
-  // by the running sessions.
-  EXPECT_GE(harness->guide_epoch(), 4);
-  EXPECT_GT(harness->totals().guide_swaps, 0);
+  int64_t previous_epoch = 0;
+  for (const WindowMetrics& window : harness->windows()) {
+    const int64_t w = window.window;
+    if (w < 3) {
+      EXPECT_TRUE(window.degraded_greedy) << "window " << w;
+      EXPECT_EQ(window.guide_epoch, 0) << "window " << w;
+      EXPECT_EQ(window.guide_age_windows, -1) << "window " << w;
+    } else {
+      EXPECT_FALSE(window.degraded_greedy) << "window " << w;
+      EXPECT_EQ(window.guide_age_windows, w % 3) << "window " << w;
+    }
+    const bool publish_window = w >= 3 && w % 3 == 0;
+    if (publish_window) {
+      EXPECT_GT(window.guide_epoch, previous_epoch) << "window " << w;
+      EXPECT_GT(window.refresh_ms, 0.0) << "window " << w;
+    } else {
+      EXPECT_EQ(window.guide_epoch, previous_epoch) << "window " << w;
+    }
+    previous_epoch = window.guide_epoch;
+  }
+  EXPECT_EQ(harness->windows().back().refresh_failures, 1);
+  EXPECT_EQ(harness->guide_epoch(), 3);
+}
+
+TEST(ServiceHarnessTest, GuideFreeAlgorithmNeverRefreshes) {
+  // TGOA reads no guide: no cycle runs, nothing is published, and no
+  // window is degraded for the lack of a guide.
+  ServiceOptions options;
+  options.algorithm = "tgoa";
+  options.refresh_period_windows = 2;
+  auto harness = MakeHarness(options);
+  ASSERT_TRUE(harness->RunWindows(12).ok());
+
+  EXPECT_EQ(harness->guide_epoch(), 0);
+  EXPECT_EQ(harness->refresher_stats().publishes, 0);
+  EXPECT_EQ(harness->totals().cold_refreshes + harness->totals().warm_refreshes,
+            0);
+  for (const WindowMetrics& window : harness->windows()) {
+    EXPECT_EQ(window.guide_age_windows, -1) << "window " << window.window;
+    EXPECT_FALSE(window.degraded_greedy) << "window " << window.window;
+    EXPECT_EQ(window.refresh_ms, 0.0) << "window " << window.window;
+  }
   EXPECT_GT(harness->totals().matched, 0);
 }
 
@@ -163,8 +211,9 @@ TEST(ServiceHarnessTest, DegradationLadderFallsBackToGreedyAndRecovers) {
 }
 
 TEST(ServiceHarnessTest, DroppedHandoffBatchesAreRedeliveredNextSegment) {
+  // Every window is its own session (segment), so the objects window 1
+  // drops re-enter with window 2's carryover.
   ServiceOptions options;
-  options.windows_per_segment = 3;
   options.faults = "drop-batch@1-1";  // Window 1's handoff is lost.
   auto harness = MakeHarness(options);
   ASSERT_TRUE(harness->RunWindows(6).ok());
@@ -235,12 +284,12 @@ TEST(ServiceHarnessTest, RejectsUnknownAlgorithmAndBadFaultSpec) {
 }
 
 TEST(ServiceHarnessTest, RetrievalStatsSurfaceOnRotationWindowsOnly) {
-  // The engine's per-query stats are attributed to the window that
-  // rotated the segment (like `matched`), and switching backends must not
-  // change what got matched — only the counters.
+  // Every window rotates its own session, so every window carries the
+  // engine's per-query stats of that session (like `matched`), and
+  // switching backends must not change what got matched — only the
+  // counters.
   ServiceOptions engine_options;
   engine_options.algorithm = "tgoa";
-  engine_options.windows_per_segment = 3;
   engine_options.retrieval = RetrievalMode::kEngine;
   auto engine = MakeHarness(engine_options);
   ASSERT_TRUE(engine->RunWindows(12).ok());
@@ -258,7 +307,6 @@ TEST(ServiceHarnessTest, RetrievalStatsSurfaceOnRotationWindowsOnly) {
     if (w.retrieval_queries > 0) {
       EXPECT_GE(w.cells_visited_p99, w.cells_visited_p50) << "window " << i;
     } else {
-      // Non-rotation windows carry no retrieval activity.
       EXPECT_EQ(w.candidates_examined, 0) << "window " << i;
     }
   }

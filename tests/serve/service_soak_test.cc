@@ -13,9 +13,10 @@
 // Health criteria checked after the time box:
 //  * zero crashes / failed statuses (the run completed),
 //  * every processed window reported metrics, in order,
-//  * memory stayed bounded (live set + current segment, not the history),
+//  * memory stayed bounded (live set + current window, not the history),
 //  * no live-deadline object was ever freed,
-//  * at least one guide hot-swap was adopted by running sessions,
+//  * at least one refresh replaced a published guide and the window that
+//    followed served with it,
 //  * both forced refresh failures were observed and survived,
 //  * shedding happened only under the injected overload.
 
@@ -90,7 +91,7 @@ TEST(ServiceSoakTest, FaultedSoakStaysHealthy) {
     const Status status = harness->RunWindows(6);  // One day per beat.
     ASSERT_TRUE(status.ok()) << "window " << processed << ": " << status;
     processed += 6;
-    // The eviction safety invariant must hold at every rotation, not just
+    // The eviction safety invariant must hold after every beat, not just
     // at the end.
     ASSERT_EQ(harness->totals().evicted_live, 0);
   }
@@ -106,16 +107,24 @@ TEST(ServiceSoakTest, FaultedSoakStaysHealthy) {
   EXPECT_GT(harness->totals().matched, 0);
 
   // Memory bounded: the store holds the live tail plus at most the
-  // current segment, never the whole admitted history.
+  // current window's admissions, never the whole admitted history.
   EXPECT_GT(harness->totals().evictions, 0);
   EXPECT_LT(harness->store_size(), harness->totals().admitted / 2);
   EXPECT_LE(harness->live_objects(), options.max_live_objects);
 
-  // Guide lifecycle: refreshes published, at least one landed mid-segment
-  // and was hot-swapped into running sessions, and both injected refresh
-  // failures were observed and survived.
+  // Guide lifecycle: refreshes published, at least one replaced an
+  // earlier guide and the window it landed in served guided with it, and
+  // both injected refresh failures were observed and survived.
   EXPECT_GE(harness->guide_epoch(), 1);
-  EXPECT_GE(harness->totals().guide_swaps, 1);
+  bool adopted = false;
+  for (size_t w = 1; w < harness->windows().size(); ++w) {
+    const WindowMetrics& before = harness->windows()[w - 1];
+    const WindowMetrics& window = harness->windows()[w];
+    adopted = adopted || (before.guide_epoch >= 1 &&
+                          window.guide_epoch > before.guide_epoch &&
+                          !window.degraded_greedy);
+  }
+  EXPECT_TRUE(adopted);
   EXPECT_EQ(harness->fault_counters().guide_failures, 2);
   EXPECT_GE(harness->refresher_stats().failed_cycles, 2);
 

@@ -29,14 +29,6 @@ TEST(MergeShardRunMetricsTest, CriticalPathIsMaxShardTime) {
   EXPECT_EQ(merged.matching_size, 75);
 }
 
-TEST(MergeShardRunMetricsTest, GuideSwapsSumAcrossShards) {
-  std::vector<RunMetrics> shards = {ShardMetrics(0.1, 1, 1),
-                                    ShardMetrics(0.1, 1, 1)};
-  shards[0].guide_swaps = 2;
-  shards[1].guide_swaps = 3;
-  EXPECT_EQ(MergeShardRunMetrics(shards).guide_swaps, 5);
-}
-
 // The PR-5 regression: dispatcher Run / sim runner re-measure the wall clock
 // of the whole sharded replay and used to assign it straight into
 // elapsed_seconds, destroying the merged critical-path max. SetWallClock

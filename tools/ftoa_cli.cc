@@ -23,8 +23,8 @@
 // --flow-engine=NAME fixes the min-cost-flow solver core used for guide
 // generation (flow/flow_engine.h registry; auto picks by instance shape).
 // `serve` runs the long-running serving harness (serve/service_harness)
-// over the looped city trace: rolling eviction, live guide refresh with
-// hot-swap and a degradation ladder, fault injection (--faults, the
+// over the looped city trace, one session per window: rolling eviction,
+// live guide refresh with a degradation ladder, fault injection (--faults, the
 // serve/fault_injector spec grammar), and SLO-driven admission control —
 // printing one metrics line per window plus lifetime totals. Unknown
 // serve flags are rejected listing the valid set.
@@ -131,8 +131,8 @@ int Usage() {
       "       (NAME: %s)\n"
       "  ftoa serve [--city=beijing|hangzhou] [--scale=F] [--windows=N]\n"
       "       [--algorithm=NAME] [--shards=K] [--shard-threads=N]\n"
-      "       [--windows-per-segment=N] [--refresh-period=N]\n"
-      "       [--background-refresh] [--slo-p99-ms=F]\n"
+      "       [--refresh-period=N] [--background-refresh]\n"
+      "       [--slo-p99-ms=F]\n"
       "       [--max-queue-depth=N] [--max-live-objects=N]\n"
       "       [--max-guide-age=N] [--faults=SPEC] [--fault-seed=N]\n"
       "       [--loop-days=N] [--no-evict] [--reconcile]\n"
@@ -367,7 +367,7 @@ int CmdServe(int argc, char** argv) {
   static const std::vector<std::string> kServeFlags = {
       "city",       "scale",          "loop-days",
       "windows",    "algorithm",      "shards",
-      "shard-threads", "windows-per-segment", "refresh-period",
+      "shard-threads", "refresh-period",
       "background-refresh", "slo-p99-ms", "max-queue-depth",
       "max-live-objects", "max-guide-age", "faults",
       "fault-seed", "no-evict",       "reconcile",
@@ -399,8 +399,6 @@ int CmdServe(int argc, char** argv) {
   options.num_shards = static_cast<int>(args.GetInt("shards", 1));
   options.shard_threads =
       static_cast<int>(args.GetInt("shard-threads", 1));
-  options.windows_per_segment =
-      static_cast<int>(args.GetInt("windows-per-segment", 0));
   options.refresh_period_windows =
       static_cast<int>(args.GetInt("refresh-period", 0));
   options.background_refresh = args.Has("background-refresh");
@@ -500,8 +498,8 @@ int CmdServe(int argc, char** argv) {
   }
 
   // rq/exam/c50/c99: retrieval-engine queries, candidates examined, and
-  // per-query cells-visited percentiles of the segment rotated at that
-  // window (all zero under --retrieval=linear and between rotations).
+  // per-query cells-visited percentiles of the window's session (all zero
+  // under --retrieval=linear).
   // rfr ms/WC/reuse: solve wall time of the refresh cycle whose publish
   // landed at that window, warm (W) or cold (C), and reused/total
   // components ("-" between publishes).
@@ -537,9 +535,8 @@ int CmdServe(int argc, char** argv) {
         w.degraded_greedy ? "D" : "", w.overloaded ? "O" : "");
   }
   const ServiceTotals& totals = (*harness)->totals();
-  std::printf("served         %lld windows (%lld segments)\n",
-              static_cast<long long>(totals.windows),
-              static_cast<long long>(totals.segments));
+  std::printf("served         %lld windows\n",
+              static_cast<long long>(totals.windows));
   std::printf("admitted       %lld of %lld offered (%lld shed, %lld "
               "dropped in handoff)\n",
               static_cast<long long>(totals.admitted),
@@ -556,11 +553,10 @@ int CmdServe(int argc, char** argv) {
               static_cast<long long>((*harness)->live_objects()));
   const GuideRefresher::Stats& refresher = (*harness)->refresher_stats();
   std::printf("guide          epoch %lld, %lld publishes, %lld failed "
-              "cycles, %lld hot-swaps adopted\n",
+              "cycles\n",
               static_cast<long long>((*harness)->guide_epoch()),
               static_cast<long long>(refresher.publishes),
-              static_cast<long long>(refresher.failed_cycles),
-              static_cast<long long>(totals.guide_swaps));
+              static_cast<long long>(refresher.failed_cycles));
   std::printf("refresh        %lld warm / %lld cold publishes, %lld of "
               "%lld components reused, %.2f ms total solve\n",
               static_cast<long long>(totals.warm_refreshes),
